@@ -342,15 +342,15 @@ grep "^twostep-dist: cache cache_hits=$distinct fresh_states=0$" <<<"$warm_out" 
     || { echo "FAIL: warm run must be answered entirely by the cache" >&2; exit 1; }
 echo "cache OK: warm run reused all $distinct states"
 
-echo "== checkpoint/resume: deadline-interrupted then resumed partitioned run (quick)"
-CKPT_DIR="$(mktemp -d)"
-trap 'rm -rf "$CACHE_DIR" "$CKPT_DIR"' EXIT
+echo "== suspend/resume: deadline-suspended partitioned run resumed from its cache (quick)"
+RESUME_DIR="$(mktemp -d)"
+trap 'rm -rf "$CACHE_DIR" "$RESUME_DIR"' EXIT
 # An already-hopeless 1ms deadline over the whole pipeline: the run must
-# suspend (exit 3) at a phase boundary with a parseable line and a
-# resumable artifact, never a hard failure.
+# suspend (exit 3) at a phase boundary with a parseable line, committing
+# its partial memo to the cache, never a hard failure.
 set +e
 suspended_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- \
-    --quick --partitions 2 --symmetry off --deadline-ms 1 --checkpoint-dir "$CKPT_DIR")"
+    --quick --partitions 2 --symmetry off --deadline-ms 1 --cache-dir "$RESUME_DIR")"
 suspended_code=$?
 set -e
 if [[ "$suspended_code" != "3" ]]; then
@@ -358,15 +358,15 @@ if [[ "$suspended_code" != "3" ]]; then
     echo "$suspended_out" >&2
     exit 1
 fi
-grep '^twostep-dist: suspended reason=deadline .*checkpoint=' <<<"$suspended_out" >/dev/null \
-    || { echo "FAIL: suspended run must print a parseable suspension line" >&2; exit 1; }
-[[ -f "$CKPT_DIR/manifest.twockpt" ]] \
-    || { echo "FAIL: suspension left no checkpoint manifest in $CKPT_DIR" >&2; exit 1; }
-# Resume without a deadline: the composed report must be byte-identical
-# to the uninterrupted run of the same system from earlier in this
-# script, and the consumed artifact must be gone.
+grep "^twostep-dist: suspended reason=deadline .*cache=$RESUME_DIR\$" <<<"$suspended_out" >/dev/null \
+    || { echo "FAIL: suspended run must print a parseable suspension line naming the cache" >&2; exit 1; }
+[[ -f "$RESUME_DIR/manifest.twocache" ]] \
+    || { echo "FAIL: suspension committed no cache manifest in $RESUME_DIR" >&2; exit 1; }
+# Resume without a deadline: a warm start whose report must be
+# byte-identical to the uninterrupted run of the same system from
+# earlier in this script.
 resumed_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- \
-    --quick --partitions 2 --symmetry off --checkpoint-dir "$CKPT_DIR")"
+    --quick --partitions 2 --symmetry off --cache-dir "$RESUME_DIR")"
 resumed_result="$(grep '^twostep-dist: result' <<<"$resumed_out")"
 uninterrupted_result="$(grep '^twostep-dist: result' <<<"$dist_off_out")"
 echo "resumed:       $resumed_result"
@@ -375,11 +375,14 @@ if [[ "$resumed_result" != "$uninterrupted_result" ]]; then
     echo "FAIL: resumed report differs from the uninterrupted one" >&2
     exit 1
 fi
-if [[ -f "$CKPT_DIR/manifest.twockpt" ]]; then
-    echo "FAIL: successful resume must consume the checkpoint artifact" >&2
-    exit 1
-fi
-echo "checkpoint OK: suspended at reason=deadline, resumed to an identical report"
+# The suspension and the resume together committed the whole memo: a
+# third run is answered entirely by the cache.
+third_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- \
+    --quick --partitions 2 --symmetry off --cache-dir "$RESUME_DIR")"
+distinct="$(sed -n 's/.* distinct_states=\([0-9]*\).*/\1/p' <<<"$resumed_result")"
+grep "^twostep-dist: cache cache_hits=$distinct fresh_states=0$" <<<"$third_out" >/dev/null \
+    || { echo "FAIL: the run after a resume must be answered entirely by the cache" >&2; exit 1; }
+echo "suspend/resume OK: suspended at reason=deadline, resumed to an identical report, then fully warm"
 
 echo "== allocation probe (plain and stepped drivers pinned to the allocs/state budget)"
 cargo run --release -q --example alloc_probe

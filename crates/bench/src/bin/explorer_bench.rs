@@ -373,7 +373,6 @@ fn main() {
                 Symmetry::Off,
                 None,
                 WalkBudget::unlimited(),
-                None,
                 StealConfig::on(),
                 FaultPlan::none(),
                 SuperviseConfig::default(),

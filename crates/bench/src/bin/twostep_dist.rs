@@ -8,8 +8,7 @@
 //! Usage: `twostep-dist [--quick] [--n N] [--t T] [--partitions K]
 //!                      [--depth D] [--worker-threads W] [--spill HOT]
 //!                      [--symmetry off|full] [--cache-dir DIR]
-//!                      [--max-steps S] [--deadline-ms MS]
-//!                      [--checkpoint-dir DIR] [--steal]
+//!                      [--max-steps S] [--deadline-ms MS] [--steal]
 //!                      [--steal-poll-ms MS] [--steal-min-frontier K]
 //!                      [--steal-yield-every S] [--fault PLAN]
 //!                      [--attempt-timeout-ms MS] [--watchdog-ms MS]
@@ -35,17 +34,18 @@
 //!   fingerprint matches this run, and the run's newly discovered
 //!   states are committed back as a delta segment.  Falls back to the
 //!   `TWOSTEP_CACHE_DIR` env var (same warn-on-garbage policy as
-//!   `TWOSTEP_THREADS`) when the flag is absent;
+//!   `TWOSTEP_THREADS`) when the flag is absent.  It is also where a
+//!   suspended run keeps its partial work (see below);
 //! * `--max-steps S` / `--deadline-ms MS` — walk budget for the whole
 //!   coordinator pipeline (the deadline clock covers seed, workers,
 //!   merge, and replay; workers walk unbounded).  Fall back to the
 //!   `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS` env vars.  A budgeted
-//!   run that suspends prints a parseable `twostep-dist: suspended`
-//!   line and exits with code 3;
-//! * `--checkpoint-dir DIR` — a suspended run serializes its partial
-//!   memo there; rerunning with the same directory (and a looser or no
-//!   budget) resumes to the bit-identical final report and consumes the
-//!   artifact;
+//!   run that suspends prints a parseable
+//!   `twostep-dist: suspended reason=… states=… cache=DIR|none` line and
+//!   exits with code 3.  With a cache the partial memo is committed to
+//!   it, and rerunning over the same directory (with a looser or no
+//!   budget) resumes to the bit-identical final report; without one the
+//!   partial work is discarded;
 //! * `--fault PLAN` — deterministic fault injection for chaos testing
 //!   (see `twostep_modelcheck::faults` for the grammar, e.g.
 //!   `p0a0=crash@walk;p1a0=hang@export`).  Overrides the
@@ -149,20 +149,6 @@ fn main() {
             None => eprintln!("twostep-dist: --deadline-ms needs milliseconds; flag ignored"),
         }
     }
-    let checkpoint_dir: Option<PathBuf> = match args.iter().position(|a| a == "--checkpoint-dir") {
-        Some(i) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-            Some(dir) => Some(PathBuf::from(dir)),
-            None => {
-                eprintln!(
-                    "twostep-dist: --checkpoint-dir needs a directory; \
-                     a budget suspension would discard its partial work"
-                );
-                None
-            }
-        },
-        None => None,
-    };
-
     let steal_enabled = args.iter().any(|a| a == "--steal") || steal_from_env().unwrap_or(false);
     let mut steal = StealConfig {
         enabled: steal_enabled,
@@ -255,7 +241,6 @@ fn main() {
                 symmetry,
                 cache_dir,
                 budget,
-                checkpoint_dir,
                 steal,
                 faults,
                 supervise,
@@ -297,7 +282,7 @@ fn main() {
                 symmetry,
                 cache_dir,
                 budget,
-                checkpoint_dir,
+                None,
                 faults,
                 supervise,
             ) {
@@ -371,12 +356,12 @@ fn bail(e: ExploreError) -> ! {
     match e {
         ExploreError::Interrupted {
             reason,
-            checkpoint,
+            cache,
             states,
         } => {
             println!(
-                "twostep-dist: suspended reason={reason} states={states} checkpoint={}",
-                match &checkpoint {
+                "twostep-dist: suspended reason={reason} states={states} cache={}",
+                match &cache {
                     Some(dir) => dir.display().to_string(),
                     None => "none".to_string(),
                 }

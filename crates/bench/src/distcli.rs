@@ -25,9 +25,9 @@ use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
 use twostep_modelcheck::{
     explore_elastic_timed, explore_partitioned_timed, run_worker, run_worker_elastic, CacheConfig,
-    CheckpointConfig, DistOptions, DistTimings, ElasticExit, ElasticStats, ElasticTask,
-    ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, MemoConfig, StealConfig,
-    SuperviseConfig, Symmetry, WalkBudget, WorkerFault, WorkerPulse, WorkerTask,
+    DistOptions, DistTimings, ElasticExit, ElasticStats, ElasticTask, ExploreConfig, ExploreError,
+    ExploreOptions, ExploreReport, FaultPlan, MemoConfig, StealConfig, SuperviseConfig, Symmetry,
+    WalkBudget, WorkerFault, WorkerPulse, WorkerTask,
 };
 use twostep_sim::CancelToken;
 
@@ -541,7 +541,6 @@ pub fn run_elastic_crw(
     symmetry: Symmetry,
     cache_dir: Option<PathBuf>,
     budget: WalkBudget,
-    checkpoint_dir: Option<PathBuf>,
     steal: StealConfig,
     faults: FaultPlan,
     supervise: SuperviseConfig,
@@ -561,9 +560,7 @@ pub fn run_elastic_crw(
         depth,
         attempts: 3,
         scratch_dir: None,
-        replay: ExploreOptions::default()
-            .with_budget(budget)
-            .with_checkpoint(checkpoint_dir.map(CheckpointConfig::at)),
+        replay: ExploreOptions::default().with_budget(budget),
         cache: cache_dir.map(CacheConfig::read_write),
         steal,
         faults,
@@ -742,8 +739,11 @@ fn parse_worker_timing(stdout: &str) -> Option<WorkerPhaseSeconds> {
 /// coordinator seeds itself and every worker from it, and commits the
 /// run's delta back.  `budget` governs the coordinator pipeline (the
 /// deadline clock spans seed, workers, merge, and replay; workers
-/// themselves walk unbounded) and `checkpoint_dir` makes a budget
-/// suspension resumable — rerun with the same directory to continue.
+/// themselves walk unbounded); with a cache a budget suspension commits
+/// its partial memo there — rerun with the same directory to continue.
+/// `checkpoint_dir` is a second spelling of `cache_dir`, used only when
+/// `cache_dir` is `None`; it exists only because `perfbench/` calls this
+/// signature positionally.
 #[allow(clippy::too_many_arguments)]
 pub fn run_partitioned_crw(
     n: usize,
@@ -775,10 +775,8 @@ pub fn run_partitioned_crw(
         depth,
         attempts: 3,
         scratch_dir: None,
-        replay: ExploreOptions::default()
-            .with_budget(budget)
-            .with_checkpoint(checkpoint_dir.map(CheckpointConfig::at)),
-        cache: cache_dir.map(CacheConfig::read_write),
+        replay: ExploreOptions::default().with_budget(budget),
+        cache: cache_dir.or(checkpoint_dir).map(CacheConfig::read_write),
         steal: StealConfig::default(),
         faults,
         supervise,

@@ -1,5 +1,6 @@
 //! Persistent result cache: compressed, fingerprinted memo segments
-//! that warm-start serial, parallel, and partitioned exploration.
+//! that warm-start serial, parallel, and partitioned exploration — and
+//! the one on-disk store a suspended walk resumes from.
 //!
 //! Re-exploring millions of identical configurations on every invocation
 //! is the engine's single biggest waste: the memo is deterministic — a
@@ -14,8 +15,9 @@
 //! * a **manifest** (`manifest.twocache`) binding those segments to a
 //!   64-bit **fingerprint** of everything that determines their
 //!   contents: the segment format version, the system `(n, t)`, the
-//!   exploration-relevant [`ExploreConfig`] options, and the protocol /
-//!   proposal identity via [`CheckableProtocol::fingerprint`] (a
+//!   exploration-relevant [`ExploreConfig`] options (the symmetry
+//!   strength included), and the protocol / proposal identity via
+//!   [`CheckableProtocol::fingerprint`] (a
 //!   [`stable_hash64`](twostep_model::codec::stable_hash64) of each
 //!   initial process's [`SpillCodec`] encoding).
 //!
@@ -30,22 +32,43 @@
 //! gains one delta segment holding only the newly inserted entries
 //! (nothing at all if the walk was fully warm); a stale or absent cache
 //! is replaced wholesale (fresh manifest, single full segment, orphaned
-//! segment files of the previous fingerprint removed).
+//! segment files of the previous fingerprint removed).  A session adds
+//! at most one segment: a later commit of the same session (a periodic
+//! [`autosave`](CacheConfig::autosave_every), then the final one)
+//! rewrites that segment by write-then-rename.
+//!
+//! **Suspension is a commit.**  A walk suspended by its
+//! [`WalkBudget`](crate::WalkBudget) — or aborted by the `max_states`
+//! valve — under a ReadWrite cache commits its memo like a finished run,
+//! and resuming is a plain warm start.  The *partial* image is safe
+//! because it is **descendant-closed**: memo inserts happen only at
+//! frame pop or terminal entry, after every child is memoized, so once
+//! the walkers have joined every memoized configuration's whole subtree
+//! is memoized too.  The seed it was walked over is closed as well, and
+//! segments are append-only under one fingerprint, so the union a later
+//! run imports is closed: a resumed walk fast-forwards through memo hits
+//! and its report is bit-identical to an uninterrupted one
+//! (`tests/checkpoint_differential.rs`).  A strength change is no
+//! special case: the strength is fingerprinted, so a partial image keyed
+//! at another strength is loudly ignored and replaced like any other
+//! foreign cache.
 //!
 //! The cache is an *optimization*, so cache failures never fail an
 //! exploration: a segment that fails validation mid-import declares the
 //! whole cache broken — the partial seed is **discarded** and the run
-//! explores cold (a partial image would silently shrink
-//! `distinct_states` and the census, because a seeded parent
-//! short-circuits the walk above its missing descendants) — and a
-//! failed commit warns and moves on.  What the cache can never do is
-//! change a report: cold and warm runs are bit-identical by the same
-//! argument that makes thread counts and worker processes invisible
-//! (see [`crate::explorer`]'s determinism section).
+//! explores cold (a partial *import*, unlike a partial walk, is not
+//! descendant-closed: a seeded parent short-circuits the walk above its
+//! missing descendants, silently shrinking `distinct_states` and the
+//! census) — and a failed commit warns and moves on.  What the cache
+//! can never do is change a report: cold and warm runs are bit-identical
+//! by the same argument that makes thread counts and worker processes
+//! invisible (see [`crate::explorer`]'s determinism section).
 //!
 //! The `max_states` budget is deliberately **excluded** from the
 //! fingerprint: it is a resource safety valve, not part of the
-//! deterministic result, so raising it must not invalidate a cache.
+//! deterministic result, so raising it must not invalidate a cache —
+//! which is also what lets a `StateLimit`-suspended run resume with a
+//! raised valve.
 
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
@@ -122,6 +145,14 @@ pub struct CacheConfig {
     pub dir: PathBuf,
     /// Read-only or read-write.
     pub mode: CacheMode,
+    /// Crash-safety autosave for single-threaded
+    /// [`explore_with`](crate::explore_with) walks under
+    /// [`CacheMode::ReadWrite`]: every this-many steps the walk parks at
+    /// a `Yield` point and commits its memo (rewriting the session's
+    /// one delta segment), so a crash loses at most one interval of
+    /// work.  `None` (the default) commits only at completion and at
+    /// suspension.
+    pub autosave_every: Option<u64>,
 }
 
 impl CacheConfig {
@@ -130,6 +161,7 @@ impl CacheConfig {
         CacheConfig {
             dir: dir.into(),
             mode: CacheMode::Read,
+            autosave_every: None,
         }
     }
 
@@ -138,7 +170,15 @@ impl CacheConfig {
         CacheConfig {
             dir: dir.into(),
             mode: CacheMode::ReadWrite,
+            autosave_every: None,
         }
+    }
+
+    /// Also autosave every `steps` steps (see
+    /// [`autosave_every`](Self::autosave_every)).
+    pub fn with_autosave_every(mut self, steps: u64) -> Self {
+        self.autosave_every = Some(steps);
+        self
     }
 }
 
@@ -351,8 +391,9 @@ pub(crate) enum CacheState {
 }
 
 /// One exploration's handle on the persistent cache: open → [`seed`] the
-/// memo → explore → [`commit`] the delta.  Constructed unconditionally
-/// (a `None` config yields an inert session) so call sites stay linear.
+/// memo → explore → [`commit`] the delta (at completion, at suspension,
+/// and at each autosave).  Constructed unconditionally (a `None` config
+/// yields an inert session) so call sites stay linear.
 ///
 /// [`seed`]: Self::seed
 /// [`commit`]: Self::commit
@@ -361,6 +402,9 @@ pub(crate) struct CacheSession {
     fingerprint: u64,
     state: CacheState,
     manifest: Option<Manifest>,
+    /// This session's own delta segment, once a commit has listed it in
+    /// the manifest; later commits rewrite it instead of adding another.
+    own_segment: Option<String>,
 }
 
 impl CacheSession {
@@ -416,7 +460,15 @@ impl CacheSession {
             fingerprint,
             state,
             manifest,
+            own_segment: None,
         }
+    }
+
+    /// Whether commits write anything: a configured
+    /// [`CacheMode::ReadWrite`] cache.  Only such a session makes a
+    /// suspension resumable.
+    pub(crate) fn writable(&self) -> bool {
+        matches!(&self.config, Some(cache) if cache.mode == CacheMode::ReadWrite)
     }
 
     /// The opened state (asserted by the unit tests).
@@ -475,52 +527,50 @@ impl CacheSession {
     /// Commits this run's newly discovered entries back to the cache
     /// (ReadWrite mode only; Read and disabled sessions are no-ops).
     ///
-    /// * [`CacheState::Ready`] — appends one delta segment holding only
-    ///   the fresh entries, or touches nothing if the run was fully warm;
+    /// * [`CacheState::Ready`] — adds one delta segment holding only the
+    ///   fresh entries, or touches nothing if the run was fully warm;
     /// * [`CacheState::Empty`] / [`CacheState::Stale`] — replaces the
     ///   cache wholesale: a fresh full segment, a fresh manifest under
     ///   this run's fingerprint, and orphaned `.seg` files removed.
     ///
-    /// Cache write failures warn and return `None` — they never fail the
-    /// exploration that produced the (already correct) report.  Returns
-    /// the number of records written otherwise.
-    pub(crate) fn commit<O>(&self, memo: &ShardedMemo<O>) -> Option<u64>
+    /// Either way the session then owns that one segment, and a later
+    /// commit (an autosave, then the final one) rewrites it with the
+    /// grown delta by write-then-rename — the manifest never lists a
+    /// half-written segment.  Returns the cache directory when it now
+    /// holds this memo's whole image.  Write failures warn and return
+    /// `None`; they never fail the exploration.
+    pub(crate) fn commit<O>(&mut self, memo: &ShardedMemo<O>) -> Option<PathBuf>
     where
         O: Clone + Eq + SpillCodec,
     {
-        let cache = match &self.config {
-            Some(cache) if cache.mode == CacheMode::ReadWrite => cache,
-            _ => return None,
-        };
-        match self.try_commit(cache, memo) {
-            Ok(records) => records,
+        if !self.writable() {
+            return None;
+        }
+        let dir = self.config.as_ref()?.dir.clone();
+        match self.try_commit(&dir, memo) {
+            Ok(()) => Some(dir),
             Err(e) => {
                 eprintln!(
                     "twostep: failed to commit cache {} ({e}); \
-                     the exploration result is unaffected",
-                    cache.dir.display()
+                     this run's new states are not saved",
+                    dir.display()
                 );
                 None
             }
         }
     }
 
-    fn try_commit<O>(
-        &self,
-        cache: &CacheConfig,
-        memo: &ShardedMemo<O>,
-    ) -> Result<Option<u64>, SpillError>
+    fn try_commit<O>(&mut self, dir: &Path, memo: &ShardedMemo<O>) -> Result<(), SpillError>
     where
         O: Clone + Eq + SpillCodec,
     {
         if self.state == CacheState::Ready && memo.len() == memo.seeded_len() {
             // Fully warm: the cache already holds everything this run
             // observed.  Touch nothing.
-            return Ok(None);
+            return Ok(());
         }
-        std::fs::create_dir_all(&cache.dir).map_err(|e| {
-            SpillError::io(&format!("creating cache dir {}", cache.dir.display()), e)
-        })?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| SpillError::io(&format!("creating cache dir {}", dir.display()), e))?;
         let mut manifest = match (&self.state, &self.manifest) {
             (CacheState::Ready, Some(manifest)) => manifest.clone(),
             _ => Manifest {
@@ -534,23 +584,39 @@ impl CacheSession {
         // mid-commit leaves the old manifest pointing exclusively at its
         // own intact segments — never at another fingerprint's data,
         // which every later run would silently trust.
-        let name = format!(
-            "seg-{:016x}-{:06}.seg",
-            self.fingerprint,
-            manifest.segments.len()
-        );
+        let name = match &self.own_segment {
+            Some(name) => name.clone(),
+            None => {
+                let name = format!(
+                    "seg-{:016x}-{:06}.seg",
+                    self.fingerprint,
+                    manifest.segments.len()
+                );
+                manifest.segments.push(name.clone());
+                name
+            }
+        };
         // The delta is everything this run added beyond the seed; with
         // no seed imported (cold, stale, or empty cache) that is the
-        // full memo image.
-        let records = memo.export_delta(&cache.dir.join(&name))?;
-        manifest.segments.push(name);
-        write_manifest(&cache.dir, &manifest)?;
+        // full memo image.  Written aside and renamed into place, so a
+        // failed rewrite of a listed segment leaves the old one intact.
+        let tmp = dir.join(format!("{name}.tmp-{}", std::process::id()));
+        if let Err(e) = memo.export_delta(&tmp) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        std::fs::rename(&tmp, dir.join(&name))
+            .map_err(|e| SpillError::io("renaming segment into place", e))?;
+        if self.own_segment.is_some() {
+            return Ok(());
+        }
+        write_manifest(dir, &manifest)?;
         // Garbage-collect segments of a replaced (stale) cache.  Only
         // files matching the cache's *own* naming are ever touched: a
         // user may point the cache at a directory that already holds
         // other `.seg` files (worker exports, archived segments), and a
         // commit must never destroy something it didn't write.
-        if let Ok(entries) = std::fs::read_dir(&cache.dir) {
+        if let Ok(entries) = std::fs::read_dir(dir) {
             for entry in entries.flatten() {
                 let file_name = entry.file_name();
                 let Some(file_name) = file_name.to_str() else {
@@ -563,7 +629,10 @@ impl CacheSession {
                 }
             }
         }
-        Ok(Some(records))
+        self.state = CacheState::Ready;
+        self.manifest = Some(manifest);
+        self.own_segment = Some(name);
+        Ok(())
     }
 }
 

@@ -98,9 +98,8 @@ use twostep_sim::{
 use crate::faults::{self, FaultPlan, WorkerFault, WorkerPhase};
 
 use crate::cache::{CacheConfig, CacheSession};
-use crate::checkpoint::{self, CheckpointLoad};
 use crate::explorer::{
-    build_report, drive_elastic, suspend_to_checkpoint, walk_roots, BudgetKind, CheckableProtocol,
+    build_report, drive_elastic, suspend, walk_roots, BudgetKind, CheckableProtocol,
     ElasticOutcome, ElasticVerdict, ExploreConfig, ExploreError, ExploreOptions, ExploreReport,
     Interrupt, PathedRoot, Shared, WalkBudget, WalkOutcome, Walker,
 };
@@ -130,15 +129,15 @@ pub struct DistOptions {
     /// replay's own [`ExploreOptions::cache`] field is ignored — the
     /// partitioned engine's cache is configured by
     /// [`DistOptions::cache`], which also seeds the workers.  The
-    /// replay's [`ExploreOptions::budget`] and
-    /// [`ExploreOptions::checkpoint`] *are* honored and govern the whole
-    /// pipeline: the deadline clock starts at coordinator entry and is
-    /// checked both at the worker/replay phase boundary and per replay
-    /// step, and a suspension checkpoints the coordinator memo — worker
-    /// results included — for a later resumed run (which re-seeds the
-    /// workers with it, so they skip everything already covered).
-    /// Workers themselves always walk unbounded; suspension is a
-    /// coordinator decision.
+    /// replay's [`ExploreOptions::budget`] *is* honored and governs the
+    /// whole pipeline: the deadline clock starts at coordinator entry and
+    /// is checked both at the worker/replay phase boundary and per replay
+    /// step.  Under a ReadWrite [`DistOptions::cache`] a suspension
+    /// commits the coordinator memo — worker results included — to the
+    /// cache, and a later run warm-starts from it (seeding the workers
+    /// too, so they skip everything already covered).  Workers
+    /// themselves always walk unbounded; suspension is a coordinator
+    /// decision.
     pub replay: ExploreOptions,
     /// Persistent result cache ([`crate::cache`]).  When its
     /// fingerprint matches, the coordinator pre-seeds its own memo *and*
@@ -620,7 +619,7 @@ where
     let walk_start = Instant::now();
     faults::at_phase(task.fault, WorkerPhase::Walk, &task.cancel)?;
     // Workers walk unbounded: per-walk budgets belong to the
-    // coordinator, which owns the deadline clock and the checkpoint.
+    // coordinator, which owns the deadline clock and the cache commit.
     match walk_roots(
         &shared,
         engine.threads,
@@ -754,26 +753,23 @@ where
     let mut timings = DistTimings::default();
 
     let seed_start = Instant::now();
-    let resumed = seed_coordinator(
+    seed_coordinator(
         system,
         config,
         options,
         &proposals,
         &mut shared,
         &mut session,
-        fingerprint,
     )?;
     let seed_path = if shared.memo.len() == 0 {
         None
     } else {
         let mut segments = session.segments();
-        if resumed == 0 && segments.len() == 1 {
+        if segments.len() == 1 {
             // The common warm case: one sealed image the coordinator
             // just imported end to end.  Hand workers that very file
             // (they only read it) instead of re-compressing and
-            // re-writing the whole image into the scratch dir.  (With a
-            // resumed checkpoint in the memo the cache file alone would
-            // under-seed, so that case falls through to a full export.)
+            // re-writing the whole image into the scratch dir.
             segments.pop()
         } else {
             let path = scratch.path().join("seed.seg");
@@ -904,7 +900,6 @@ where
         &mut session,
         options,
         root,
-        fingerprint,
         started,
         session_baseline,
         &mut timings,
@@ -913,15 +908,10 @@ where
 }
 
 /// Seed phase shared by the partitioned and elastic coordinators: pull
-/// the persistent cache into the memo, resume any checkpoint, and
-/// rebuild the memo whole on a broken artifact (a partial image would
-/// silently shrink the report's aggregates).  Returns the records
-/// resumed from a checkpoint (0 when none).
-///
-/// A resumed checkpoint's fresh delta imports as *fresh* — relative to
-/// the persistent cache it is exactly what the suspended run added — so
-/// the final commit still writes a complete delta and `cache_hits`
-/// matches an uninterrupted run.
+/// the persistent cache into the memo — a suspended run's commit
+/// included, which makes this the resume — and rebuild the memo whole
+/// on a broken cache (a partial image would silently shrink the
+/// report's aggregates).
 fn seed_coordinator<'a, P>(
     system: SystemConfig,
     config: ExploreConfig,
@@ -929,8 +919,7 @@ fn seed_coordinator<'a, P>(
     proposals: &'a [P::Output],
     shared: &mut Shared<'a, P>,
     session: &mut CacheSession,
-    fingerprint: u64,
-) -> Result<u64, ExploreError>
+) -> Result<(), ExploreError>
 where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
@@ -942,53 +931,19 @@ where
         let initial = std::mem::take(&mut shared.initial);
         *shared = Shared::new(system, config, &options.replay, proposals, initial)?;
     }
-    let mut resumed = 0u64;
-    if let Some(ckpt) = &options.replay.checkpoint {
-        match checkpoint::load_checkpoint(
-            ckpt,
-            fingerprint,
-            shared.plan.strength(),
-            &shared.memo,
-            crate::memo::key_validator::<P>(),
-        ) {
-            CheckpointLoad::Loaded { records } => resumed = records,
-            CheckpointLoad::Absent => {}
-            CheckpointLoad::StrengthMismatch { found } => {
-                return Err(ExploreError::CheckpointStrength {
-                    found,
-                    expected: shared.plan.strength(),
-                });
-            }
-            CheckpointLoad::Broken => {
-                // All-or-nothing, like a broken cache: rebuild the memo
-                // whole and re-seed from the (still intact) cache.
-                let initial = std::mem::take(&mut shared.initial);
-                *shared = Shared::new(system, config, &options.replay, proposals, initial)?;
-                if session
-                    .seed(&shared.memo, crate::memo::key_validator::<P>())
-                    .is_none()
-                {
-                    let initial = std::mem::take(&mut shared.initial);
-                    *shared = Shared::new(system, config, &options.replay, proposals, initial)?;
-                }
-            }
-        }
-    }
-    Ok(resumed)
+    Ok(())
 }
 
 /// The shared pipeline tail: phase-boundary deadline check, canonical
 /// root replay over the merged memo, census/witness report, cache
-/// commit, checkpoint consumption.  Identical for the partitioned and
-/// elastic engines — which is precisely why every differential guarantee
-/// of the classic engine carries over to stealing runs.
-#[allow(clippy::too_many_arguments)]
+/// commit.  Identical for the partitioned and elastic engines — which
+/// is precisely why every differential guarantee of the classic engine
+/// carries over to stealing runs.
 fn finish_pipeline<P>(
     shared: &Shared<'_, P>,
     session: &mut CacheSession,
     options: &DistOptions,
     root: Stepper<P>,
-    fingerprint: u64,
     started: Instant,
     session_baseline: usize,
     timings: &mut DistTimings,
@@ -1000,15 +955,10 @@ where
     // Phase-boundary deadline: the worker phase is the long one and runs
     // unbounded, so an expired deadline is honored *here*, before the
     // replay — every merged worker result is fresh progress and rides
-    // into the checkpoint.
+    // into the cache commit.
     if let Some(deadline) = options.replay.budget.deadline {
         if started.elapsed() >= deadline && shared.memo.len() > session_baseline {
-            return Err(suspend_to_checkpoint(
-                shared,
-                options.replay.checkpoint.as_ref(),
-                fingerprint,
-                BudgetKind::Deadline,
-            ));
+            return Err(suspend(shared, session, BudgetKind::Deadline));
         }
     }
 
@@ -1021,37 +971,22 @@ where
         started,
         None,
     ) {
-        // Same satellite rerouting as `explore_with`: with a checkpoint
-        // configured a `StateLimit` abort preserves the partial memo.
-        Err(ExploreError::StateLimit { .. }) if options.replay.checkpoint.is_some() => {
-            return Err(suspend_to_checkpoint(
-                shared,
-                options.replay.checkpoint.as_ref(),
-                fingerprint,
-                BudgetKind::States,
-            ));
+        // Same rule as `explore_with`: under a ReadWrite cache a
+        // `StateLimit` abort commits the partial memo.
+        Err(ExploreError::StateLimit { .. }) if session.writable() => {
+            return Err(suspend(shared, session, BudgetKind::States));
         }
         other => other?,
     };
     let root_summary = match outcome {
         WalkOutcome::Done(mut summaries) => summaries.pop().expect("one root, one summary"),
-        WalkOutcome::Suspended { reason } => {
-            return Err(suspend_to_checkpoint(
-                shared,
-                options.replay.checkpoint.as_ref(),
-                fingerprint,
-                reason,
-            ));
-        }
+        WalkOutcome::Suspended { reason } => return Err(suspend(shared, session, reason)),
     };
     timings.replay_seconds = replay_start.elapsed().as_secs_f64();
     let report_start = Instant::now();
     let report = build_report(shared, root_summary)?;
     timings.report_seconds = report_start.elapsed().as_secs_f64();
     session.commit(&shared.memo);
-    if let Some(ckpt) = &options.replay.checkpoint {
-        checkpoint::consume_checkpoint(ckpt);
-    }
     Ok(report)
 }
 
@@ -1375,7 +1310,6 @@ where
         &proposals,
         &mut shared,
         &mut session,
-        fingerprint,
     )?;
     timings.seed_seconds = seed_start.elapsed().as_secs_f64();
     let session_baseline = shared.memo.len();
@@ -1697,7 +1631,6 @@ where
         &mut session,
         options,
         root,
-        fingerprint,
         started,
         session_baseline,
         &mut timings,

@@ -211,12 +211,12 @@
 //! differential comparison against historical baselines matter.  The
 //! effective strength (off / settled-only / full-orbit / rank-inert,
 //! with a value-quotient bit) is part of the persistent-cache
-//! fingerprint and the checkpoint manifest, so caches never cross
-//! strengths silently — should a protocol's `pid_symmetric` /
-//! `value_symmetric` declarations or the proposal set change — and a
-//! checkpoint suspended at one strength refuses to resume at another
-//! (its frontier keys and memo image are meaningless in the other
-//! quotient).
+//! fingerprint, so caches never cross strengths silently — should a
+//! protocol's `pid_symmetric` / `value_symmetric` declarations or the
+//! proposal set change.  That covers suspended walks too, since a
+//! suspension is a cache commit: a partial image keyed at one strength
+//! is loudly ignored and replaced by a run at another, never resumed
+//! into a quotient where its keys mean something else.
 //!
 //! ### Canonicalization hot path
 //!
@@ -385,7 +385,7 @@
 //! `(partition, attempt)` to an injected fault — crash/hang at a named
 //! phase, export corruption or truncation, slow IO, lying progress —
 //! and an IO shim can fail or tear the nth coordinator-side
-//! spill/cache/checkpoint write.  `tests/fault_differential.rs` pins
+//! spill/cache write.  `tests/fault_differential.rs` pins
 //! the contract: every survivable plan is report-invisible
 //! (bit-identical to serial, by matrix and by proptest), retry
 //! exhaustion degrades to an identical report, hung workers die within
@@ -453,11 +453,13 @@
 //! queue is already closed.  No walker can keep expanding configurations
 //! or block on the queue after an abort, so the exploration call joins
 //! promptly and returns the first recorded failure (regression-tested at
-//! `threads = 4` in this module).  When a checkpoint directory is
-//! configured ([`ExploreOptions::checkpoint`]), a `StateLimit` abort no
-//! longer discards the partial walk: the fresh memo image is serialized
-//! as a resumable checkpoint and the run returns
-//! [`ExploreError::Interrupted`] instead.
+//! `threads = 4` in this module).  Under a
+//! [`ReadWrite`](crate::CacheMode::ReadWrite) cache
+//! ([`ExploreOptions::cache`]) a `StateLimit` abort does not discard the
+//! partial walk: the quiescent memo is committed to the cache and the
+//! run returns [`ExploreError::Interrupted`] instead, so a rerun with a
+//! raised valve resumes from it.  Without one the historical
+//! `StateLimit` error is returned unchanged.
 //!
 //! ## Frame-stepped core
 //!
@@ -486,17 +488,16 @@
 //!   honored only after the walk has memoized at least one *fresh*
 //!   configuration this session, so a resume chain always terminates in
 //!   at most `distinct_states` sessions even at `max_steps = 0`;
-//! * **checkpoint format** — suspension serializes the memo's fresh
-//!   delta through the existing v4 interchange segment
-//!   ([`crate::spill`]) plus a CRC'd, fingerprinted manifest
-//!   ([`crate::checkpoint`]).  No frontier frames are saved: memo
-//!   inserts happen only at frame pop or terminal entry, so any
-//!   quiescent memo image is **descendant-closed**, and a resumed run
-//!   simply re-drives the root walk, fast-forwarding through memo hits
-//!   until it reaches unexplored territory.  The resumed final report is
-//!   bit-identical to the uninterrupted one
-//!   (`tests/checkpoint_differential.rs`, plus a proptest composing
-//!   arbitrary step-budget partitions).
+//! * **suspension is a cache commit** — a suspended walk under a
+//!   ReadWrite cache commits its memo like a finished one
+//!   ([`crate::cache`]), and resuming is a plain warm start.  No
+//!   frontier frames are saved: memo inserts happen only at frame pop
+//!   or terminal entry, so any quiescent memo image is
+//!   **descendant-closed**, and a resumed run simply re-drives the root
+//!   walk, fast-forwarding through memo hits until it reaches unexplored
+//!   territory.  The resumed final report is bit-identical to the
+//!   uninterrupted one (`tests/checkpoint_differential.rs`, plus a
+//!   proptest composing arbitrary step-budget partitions).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -517,7 +518,6 @@ use twostep_sim::{
 };
 
 use crate::cache::{CacheConfig, CacheSession};
-use crate::checkpoint::{self, CheckpointConfig, CheckpointLoad};
 use crate::memo::{key_round, MemoConfig, ShardedMemo};
 use crate::spill::{SpillCodec, SpillError};
 
@@ -769,7 +769,7 @@ pub(crate) struct SymmetryPlan {
 
 impl SymmetryPlan {
     /// The effective canonicalization strength as the byte the
-    /// persistent-cache fingerprint and the checkpoint manifest record:
+    /// persistent-cache fingerprint records:
     /// the tier code (`0` raw, `1` settled, `2` full-orbit, `3`
     /// settled-inert) with bit `0x10` set when the value quotient is
     /// active.  Fingerprinting the *strength* (not the configured mode)
@@ -894,21 +894,14 @@ pub struct ExploreOptions {
     pub cache: Option<CacheConfig>,
     /// Per-walk preemption budget enforced by the frame-stepped driver
     /// (see the module docs).  An exhausted budget suspends the walk:
-    /// with a [`checkpoint`](Self::checkpoint) directory configured the
-    /// partial memo is serialized for resume; either way the call
-    /// returns [`ExploreError::Interrupted`].  Defaults to the
+    /// under a ReadWrite [`cache`](Self::cache) the partial memo is
+    /// committed there for resume; either way the call returns
+    /// [`ExploreError::Interrupted`].  Defaults to the
     /// `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS` env vars when set
     /// ([`budget_from_env`]); unlimited otherwise.  Results are
     /// identical under every budget — an interrupted-then-resumed chain
     /// converges to the uninterrupted report.
     pub budget: WalkBudget,
-    /// Checkpoint directory for suspended walks ([`crate::checkpoint`]):
-    /// `Some` makes budget suspensions (and `StateLimit` aborts) write a
-    /// resumable fresh-delta segment there, and makes a later run with a
-    /// matching fingerprint resume from it (the artifact is consumed on
-    /// successful completion).  `None` (the default) keeps the
-    /// historical behavior: interrupts discard partial work.
-    pub checkpoint: Option<CheckpointConfig>,
 }
 
 impl Default for ExploreOptions {
@@ -920,7 +913,6 @@ impl Default for ExploreOptions {
             donate_depth: donate_depth_from_env(),
             cache: crate::cache::cache_from_env(),
             budget: budget_from_env(),
-            checkpoint: None,
         }
     }
 }
@@ -935,7 +927,6 @@ impl ExploreOptions {
             donate_depth: None,
             cache: None,
             budget: WalkBudget::unlimited(),
-            checkpoint: None,
         }
     }
 
@@ -968,11 +959,6 @@ impl ExploreOptions {
     /// The same engine with an explicit per-walk budget.
     pub fn with_budget(self, budget: WalkBudget) -> Self {
         ExploreOptions { budget, ..self }
-    }
-
-    /// The same engine with an explicit checkpoint directory.
-    pub fn with_checkpoint(self, checkpoint: Option<CheckpointConfig>) -> Self {
-        ExploreOptions { checkpoint, ..self }
     }
 }
 
@@ -1069,14 +1055,9 @@ pub enum BudgetKind {
     Deadline,
     /// [`WalkBudget::max_memo_bytes`] exceeded.
     MemoBytes,
-    /// The [`ExploreConfig::max_states`] distinct-state budget — routed
-    /// through the checkpoint path when one is configured.
+    /// The [`ExploreConfig::max_states`] distinct-state budget — a
+    /// suspension only under a ReadWrite cache, which keeps the memo.
     States,
-    /// Not a limit at all: a periodic crash-safety snapshot
-    /// ([`crate::CheckpointConfig::autosave_every`]).  Never refuses a
-    /// step — it only labels the checkpoint manifest so a resume can
-    /// tell a mid-run autosave from a budget suspension.
-    Autosave,
 }
 
 impl std::fmt::Display for BudgetKind {
@@ -1086,7 +1067,6 @@ impl std::fmt::Display for BudgetKind {
             BudgetKind::Deadline => "deadline",
             BudgetKind::MemoBytes => "memo-bytes",
             BudgetKind::States => "states",
-            BudgetKind::Autosave => "autosave",
         })
     }
 }
@@ -1099,7 +1079,7 @@ pub struct StepProgress {
     /// Current DFS stack depth — frames awaiting completion.
     pub frontier_len: usize,
     /// Distinct configurations memoized across the whole exploration
-    /// (all walkers), including cache/checkpoint seeds.
+    /// (all walkers), including cache seeds.
     pub distinct_states: usize,
     /// Approximate memo footprint in bytes (see
     /// [`WalkBudget::max_memo_bytes`]).
@@ -1313,33 +1293,21 @@ pub enum ExploreError {
         detail: String,
     },
     /// The walk was suspended by an exhausted [`WalkBudget`] limit (or a
-    /// `StateLimit` rerouted through the checkpoint path).  Not a
-    /// failure: when [`checkpoint`](Self::Interrupted::checkpoint) is
-    /// `Some`, re-running the identical exploration with that checkpoint
-    /// directory configured resumes from the preserved partial memo and
-    /// converges to the uninterrupted report.
+    /// `StateLimit` abort under a ReadWrite cache).  Not a failure: when
+    /// [`cache`](Self::Interrupted::cache) is `Some`, re-running the
+    /// identical exploration over that cache directory warm-starts from
+    /// the committed partial memo and converges to the uninterrupted
+    /// report.
     Interrupted {
         /// Which budget suspended the walk.
         reason: BudgetKind,
-        /// Directory holding the resumable artifact, when one was
-        /// written (`None`: no checkpoint configured, or writing it
-        /// failed — reported loudly on stderr).
-        checkpoint: Option<PathBuf>,
+        /// Cache directory the partial memo was committed to (`None`: no
+        /// ReadWrite cache configured, or the commit failed — reported
+        /// loudly on stderr).
+        cache: Option<PathBuf>,
         /// Distinct configurations memoized at suspension — all of them
-        /// preserved in the checkpoint.
+        /// committed to the cache.
         states: usize,
-    },
-    /// A resumable checkpoint exists for this run but was suspended at a
-    /// different symmetry-canonicalization strength: its memo image
-    /// lives in another strength's canonical key space and cannot be
-    /// resumed under this one.  A hard refusal, not a silent restart —
-    /// restore the suspended run's symmetry mode, or delete the
-    /// checkpoint to start over at the new strength.
-    CheckpointStrength {
-        /// Strength byte the checkpoint was suspended at.
-        found: u8,
-        /// This run's effective strength byte.
-        expected: u8,
     },
     /// A deliberately injected failure from the fault harness
     /// ([`crate::faults`]) — only ever produced under an armed
@@ -1380,7 +1348,7 @@ impl std::fmt::Display for ExploreError {
             }
             ExploreError::Interrupted {
                 reason,
-                checkpoint,
+                cache,
                 states,
             } => {
                 write!(
@@ -1388,21 +1356,13 @@ impl std::fmt::Display for ExploreError {
                     "exploration suspended ({reason} budget exhausted) after {states} \
                      distinct states; "
                 )?;
-                match checkpoint {
-                    Some(dir) => write!(f, "resumable checkpoint at {}", dir.display()),
-                    None => f.write_str("no checkpoint configured, partial work discarded"),
+                match cache {
+                    Some(dir) => write!(f, "resumable from cache {}", dir.display()),
+                    None => f.write_str("no read-write cache, partial work discarded"),
                 }
             }
             ExploreError::Injected { detail } => {
                 write!(f, "injected fault: {detail}")
-            }
-            ExploreError::CheckpointStrength { found, expected } => {
-                write!(
-                    f,
-                    "checkpoint was suspended at symmetry strength {found:#04x} but this \
-                     run canonicalizes at {expected:#04x}; restore the suspended run's \
-                     symmetry mode or delete the checkpoint to start over"
-                )
             }
         }
     }
@@ -1966,135 +1926,77 @@ where
         let initial = std::mem::take(&mut shared.initial);
         shared = Shared::new(system, config, &options, &proposals, initial)?;
     }
-    if let Some(ckpt) = &options.checkpoint {
-        match checkpoint::load_checkpoint(
-            ckpt,
-            fingerprint,
-            shared.plan.strength(),
-            &shared.memo,
-            crate::memo::key_validator::<P>(),
-        ) {
-            CheckpointLoad::Broken => {
-                // Same all-or-nothing policy as a broken cache: a partial
-                // checkpoint import would silently shrink the census, so
-                // discard the memo whole and rebuild — re-seeding the cache,
-                // which survived (the session re-iterates its segments).
-                let initial = std::mem::take(&mut shared.initial);
-                shared = Shared::new(system, config, &options, &proposals, initial)?;
-                if session
-                    .seed(&shared.memo, crate::memo::key_validator::<P>())
-                    .is_none()
-                {
-                    let initial = std::mem::take(&mut shared.initial);
-                    shared = Shared::new(system, config, &options, &proposals, initial)?;
-                }
-            }
-            // A strength flip is a hard refusal, not a loud restart: the
-            // user asked to resume a specific suspended image, and that
-            // image lives in another strength's canonical key space.
-            CheckpointLoad::StrengthMismatch { found } => {
-                return Err(ExploreError::CheckpointStrength {
-                    found,
-                    expected: shared.plan.strength(),
-                });
-            }
-            CheckpointLoad::Absent | CheckpointLoad::Loaded { .. } => {}
-        }
-    }
-    let autosave = options.checkpoint.as_ref().and_then(|ckpt| {
-        ckpt.autosave_every.map(|every| Autosave {
-            config: ckpt,
-            fingerprint,
-            every: every.max(1),
-        })
-    });
-    match walk_roots(
+    // Crash-safety autosave commits through the same session, so it
+    // needs a cache that commits at all.
+    let autosave_every = options
+        .cache
+        .as_ref()
+        .and_then(|cache| cache.autosave_every)
+        .filter(|_| session.writable());
+    let outcome = walk_roots(
         &shared,
         options.threads,
         vec![root_stepper],
         &options.budget,
         started,
-        autosave,
-    ) {
+        autosave_every.map(|every| Autosave {
+            session: Mutex::new(&mut session),
+            every: every.max(1),
+        }),
+    );
+    match outcome {
         Ok(WalkOutcome::Done(mut summaries)) => {
             let root = summaries.pop().expect("one root, one summary");
             let report = build_report(&shared, root)?;
             session.commit(&shared.memo);
-            if let Some(ckpt) = &options.checkpoint {
-                checkpoint::consume_checkpoint(ckpt);
-            }
             Ok(report)
         }
-        Ok(WalkOutcome::Suspended { reason }) => Err(suspend_to_checkpoint(
-            &shared,
-            options.checkpoint.as_ref(),
-            fingerprint,
-            reason,
-        )),
-        // Satellite fix: a `StateLimit` abort no longer discards partial
-        // work when a checkpoint is configured — every memoized state
-        // survives for a resume with a raised budget.  Without a
-        // checkpoint the historical error is preserved exactly.
-        Err(ExploreError::StateLimit { .. }) if options.checkpoint.is_some() => {
-            Err(suspend_to_checkpoint(
-                &shared,
-                options.checkpoint.as_ref(),
-                fingerprint,
-                BudgetKind::States,
-            ))
+        Ok(WalkOutcome::Suspended { reason }) => Err(suspend(&shared, &mut session, reason)),
+        // A `StateLimit` abort keeps its partial work when there is a
+        // ReadWrite cache to commit it to — every memoized state survives
+        // for a rerun with a raised valve.  Without one the historical
+        // error is preserved exactly.
+        Err(ExploreError::StateLimit { .. }) if session.writable() => {
+            Err(suspend(&shared, &mut session, BudgetKind::States))
         }
         Err(error) => Err(error),
     }
 }
 
-/// Serializes the suspended walk's fresh memo delta (when a checkpoint
-/// directory is configured) and builds the [`ExploreError::Interrupted`]
+/// Commits the suspended walk's memo to the session's cache (a no-op
+/// without a ReadWrite one) and builds the [`ExploreError::Interrupted`]
 /// to return.  The exploration is quiescent here: every walker joined
 /// before [`walk_roots`] returned, so the memo image is
 /// descendant-closed (inserts happen only at frame pop / terminal
-/// entry).
-pub(crate) fn suspend_to_checkpoint<P>(
+/// entry) and resuming from it is a plain warm start.
+pub(crate) fn suspend<P>(
     shared: &Shared<'_, P>,
-    config: Option<&CheckpointConfig>,
-    fingerprint: u64,
+    session: &mut CacheSession,
     reason: BudgetKind,
 ) -> ExploreError
 where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    let states = shared.memo.len();
-    let written = config.and_then(|ckpt| {
-        checkpoint::write_checkpoint(
-            ckpt,
-            fingerprint,
-            shared.plan.strength(),
-            reason,
-            &shared.memo,
-        )
-    });
     ExploreError::Interrupted {
         reason,
-        checkpoint: written,
-        states,
+        cache: session.commit(&shared.memo),
+        states: shared.memo.len(),
     }
 }
 
-/// Periodic crash-safety snapshotting for [`walk_roots`]
-/// ([`CheckpointConfig::autosave_every`]): at `Yield` points, once at
-/// least `every` steps have passed since the last save, the walk's
-/// fresh memo delta is rewritten as a checkpoint labelled
-/// [`BudgetKind::Autosave`].
+/// Periodic crash-safety commits for [`walk_roots`]
+/// ([`CacheConfig::autosave_every`]): at `Yield` points, once at least
+/// `every` steps have passed since the last save, the walk's memo is
+/// committed through `session`, which rewrites its one delta segment.
 ///
 /// Only honored on single-threaded walks: with stealers running, a
 /// mid-walk export scan can race a concurrent insert across shards (a
 /// parent landing in a later-scanned shard after its child's shard was
-/// scanned) and break the descendant-closure the resume path relies on.
+/// scanned) and break the descendant-closure a warm start relies on.
 /// A one-walker memo is trivially quiescent at every step boundary.
-#[derive(Clone, Copy)]
-pub(crate) struct Autosave<'c> {
-    pub(crate) config: &'c CheckpointConfig,
-    pub(crate) fingerprint: u64,
+pub(crate) struct Autosave<'s> {
+    pub(crate) session: Mutex<&'s mut CacheSession>,
     pub(crate) every: u64,
 }
 
@@ -2104,7 +2006,7 @@ pub(crate) enum WalkOutcome<O> {
     Done(Vec<Arc<Summary<O>>>),
     /// The budget arbiter suspended the walk after it made fresh
     /// progress.  The memo holds a descendant-closed partial image; the
-    /// caller decides whether to checkpoint it.
+    /// caller decides whether to commit it.
     Suspended {
         /// Which budget limit was exhausted.
         reason: BudgetKind,
@@ -2142,8 +2044,8 @@ where
     type Slot<O> = Mutex<Option<Result<WalkOutcome<O>, Interrupt>>>;
     let threads = threads.max(1);
     // Autosave is a single-threaded feature (see [`Autosave`]); a
-    // multi-walker run silently degrades to suspension-only
-    // checkpointing rather than risking a non-descendant-closed image.
+    // multi-walker run silently degrades to committing only at the end
+    // rather than risking a non-descendant-closed image.
     let autosave = autosave.filter(|_| threads == 1);
     let result_slot: Slot<P::Output> = Mutex::new(None);
     // Handed to worker 0 through a mutex so the closure only needs the
@@ -2162,7 +2064,7 @@ where
                 .take()
                 .expect("roots taken once");
             let mut walker = Walker::new(shared);
-            let outcome = drive_primary(&mut walker, roots, budget, started, autosave);
+            let outcome = drive_primary(&mut walker, roots, budget, started, autosave.as_ref());
             *result_slot.lock().expect("result slot poisoned") = Some(outcome);
         } else {
             // Stealer: drain donated subtrees into the shared memo,
@@ -2216,7 +2118,7 @@ fn drive_primary<P>(
     roots: Vec<Stepper<P>>,
     budget: &WalkBudget,
     started: Instant,
-    autosave: Option<Autosave<'_>>,
+    autosave: Option<&Autosave<'_>>,
 ) -> Result<WalkOutcome<P::Output>, Interrupt>
 where
     P: CheckableProtocol,
@@ -2224,12 +2126,12 @@ where
 {
     let shared = walker.shared;
     // Fresh-progress baseline: everything memoized before this walk
-    // (cache seeds, checkpoint imports, earlier phases) doesn't count.
+    // (cache seeds, earlier phases) doesn't count.
     let baseline = shared.memo.len();
     // Autosave parks at `Yield` verdicts, so an autosaving walk with no
     // explicit yield cadence gets one derived from its save interval.
     let mut effective = budget.clone();
-    if let Some(save) = &autosave {
+    if let Some(save) = autosave {
         if effective.yield_every.is_none() {
             effective.yield_every = Some(save.every);
         }
@@ -2245,15 +2147,12 @@ where
             StepStatus::Running => {}
             StepStatus::Done => return Ok(WalkOutcome::Done(stepped.into_summaries())),
             StepStatus::Yielded => {
-                if let Some(save) = &autosave {
+                if let Some(save) = autosave {
                     if steps - last_saved >= save.every && step.distinct_states > baseline {
-                        checkpoint::write_checkpoint(
-                            save.config,
-                            save.fingerprint,
-                            shared.plan.strength(),
-                            BudgetKind::Autosave,
-                            &shared.memo,
-                        );
+                        save.session
+                            .lock()
+                            .expect("autosave session poisoned")
+                            .commit(&shared.memo);
                         last_saved = steps;
                     }
                 }
@@ -3861,7 +3760,6 @@ mod tests {
                         donate_depth: None,
                         cache: None,
                         budget: WalkBudget::unlimited(),
-                        checkpoint: None,
                     },
                     procs.clone(),
                     proposals.clone(),
@@ -3995,7 +3893,6 @@ mod tests {
                     donate_depth: None,
                     cache: None,
                     budget: WalkBudget::unlimited(),
-                    checkpoint: None,
                 },
                 procs.clone(),
                 proposals.clone(),
@@ -4737,13 +4634,13 @@ mod tests {
         assert!(!budget.is_unlimited());
     }
 
-    /// An exhausted step budget with no checkpoint configured suspends
-    /// with `checkpoint: None` — the partial work is discarded but the
+    /// An exhausted step budget with no cache configured suspends with
+    /// `cache: None` — the partial work is discarded but the
     /// error still names the budget and the progress made.  The
     /// min-progress guarantee means even `max_steps: 0` memoizes at
     /// least one fresh configuration before suspending.
     #[test]
-    fn step_budget_without_checkpoint_interrupts() {
+    fn step_budget_without_cache_interrupts() {
         let system = SystemConfig::new(3, 2).unwrap();
         let (procs, proposals) = flooder_procs(3);
         let err = explore_with(
@@ -4760,11 +4657,11 @@ mod tests {
         match err {
             ExploreError::Interrupted {
                 reason,
-                checkpoint,
+                cache,
                 states,
             } => {
                 assert_eq!(reason, BudgetKind::Steps);
-                assert_eq!(checkpoint, None);
+                assert_eq!(cache, None);
                 assert!(states >= 1, "min-progress: at least one fresh state");
             }
             other => panic!("expected Interrupted, got {other:?}"),
@@ -4793,7 +4690,7 @@ mod tests {
                 err,
                 ExploreError::Interrupted {
                     reason: BudgetKind::Deadline,
-                    checkpoint: None,
+                    cache: None,
                     ..
                 }
             ),
@@ -4885,19 +4782,21 @@ mod tests {
         assert_reports_identical(&plain, &budgeted, "non-tripping budget");
     }
 
-    /// Crash-safety autosave ([`CheckpointConfig::autosave_every`]): a
-    /// single-threaded walk snapshots *periodically* at `Yield` points,
-    /// so even an abort that writes no suspension checkpoint (a
-    /// `StateLimit` trip at the raw [`walk_roots`] layer) leaves a
-    /// loadable artifact behind — at most one interval of work is lost.
+    /// Crash-safety autosave ([`CacheConfig::autosave_every`]): a
+    /// single-threaded walk commits *periodically* at `Yield` points, so
+    /// even an abort that commits nothing itself (a `StateLimit` trip at
+    /// the raw [`walk_roots`] layer) leaves a warm-startable cache
+    /// behind — at most one interval of work is lost — and however many
+    /// saves ran, the session added exactly one segment.
     #[test]
-    fn autosave_snapshots_survive_an_unclean_abort() {
+    fn autosave_commits_survive_an_unclean_abort() {
         let system = SystemConfig::new(4, 2).unwrap();
         let (procs, proposals) = flooder_procs(4);
         let dir =
             std::env::temp_dir().join(format!("twostep-autosave-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let ckpt = CheckpointConfig::at(&dir).with_autosave_every(4);
+        let cache = CacheConfig::read_write(&dir).with_autosave_every(4);
+        let mut session = CacheSession::open(Some(cache.clone()), 42);
         // Small enough to trip mid-walk, large enough for several
         // autosave intervals first.
         let config = options(4, 64);
@@ -4917,8 +4816,7 @@ mod tests {
             &WalkBudget::unlimited(),
             Instant::now(),
             Some(Autosave {
-                config: &ckpt,
-                fingerprint: 42,
+                session: Mutex::new(&mut session),
                 every: 4,
             }),
         ) {
@@ -4926,22 +4824,16 @@ mod tests {
             Ok(_) => panic!("a 64-state budget must trip on this system"),
         };
         assert_eq!(err, ExploreError::StateLimit { budget: 64 });
-        // The abort itself wrote nothing — whatever is on disk came from
-        // the periodic autosaves during the walk.
+        // The abort itself committed nothing — whatever is on disk came
+        // from the periodic autosaves during the walk.
         let probe =
             Shared::new(system, config, &ExploreOptions::serial(), &proposals, procs).unwrap();
-        match checkpoint::load_checkpoint(
-            &ckpt,
-            42,
-            probe.plan.strength(),
-            &probe.memo,
-            crate::memo::key_validator::<Flooder>(),
-        ) {
-            CheckpointLoad::Loaded { records } => {
-                assert!(records > 0, "autosave captured fresh states");
-            }
-            other => panic!("expected a loadable autosave checkpoint, got {other:?}"),
-        }
+        let mut reopened = CacheSession::open(Some(cache), 42);
+        assert_eq!(reopened.segments().len(), 1, "one session, one segment");
+        let records = reopened
+            .seed(&probe.memo, crate::memo::key_validator::<Flooder>())
+            .expect("autosaved segments import whole");
+        assert!(records > 0, "autosave captured fresh states");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,9 +11,9 @@
 //!   its first two launches, then succeeds" is one plan string, and the
 //!   supervised retry schedule replays it identically every run.
 //! * **IO faults** ([`IoFault`], [`install_io_fault`]): a process-global
-//!   shim over the workspace's write choke points — framed spill/export
-//!   records and cache/checkpoint manifests — that fails, tears, or
-//!   ENOSPC-s the `n`-th intercepted write.  This proves the
+//!   shim over the workspace's write choke points — framed spill,
+//!   export and cache-segment records and cache manifests — that fails,
+//!   tears, or ENOSPC-s the `n`-th intercepted write.  This proves the
 //!   loud-replace and all-or-nothing manifest guarantees under injected
 //!   damage rather than hand-mangled files.
 //!
@@ -413,8 +413,8 @@ pub fn lying_frontier(true_frontier: usize) -> usize {
 
 /// One injected IO failure, applied to the `n`-th (1-based) write that
 /// passes through the workspace's write choke points: framed
-/// spill/export records ([`crate::spill`]) and cache/checkpoint manifest
-/// temp files.  Writes after the `n`-th succeed again — one determinate
+/// spill/export/cache-segment records ([`crate::spill`]) and cache
+/// manifest temp files.  Writes after the `n`-th succeed again — one determinate
 /// injury, so tests can assert the exact recovery path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoFault {
@@ -545,8 +545,8 @@ pub(crate) fn injected_io_error(tap: IoTap) -> std::io::Error {
 }
 
 /// `std::fs::write` with the IO shim applied: the whole-file write used
-/// for cache/checkpoint manifest temp files.  A torn write leaves the
-/// first half of `contents` on disk before failing.
+/// for cache manifest temp files.  A torn write leaves the first half
+/// of `contents` on disk before failing.
 pub(crate) fn shim_fs_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     if let Some(tap) = tap_write() {
         if tap == IoTap::Torn {

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod checkpoint;
 pub mod dist;
 pub mod explorer;
 pub mod faults;
@@ -58,7 +57,6 @@ pub mod sample;
 pub mod spill;
 
 pub use cache::{cache_from_env, run_fingerprint, CacheConfig, CacheMode};
-pub use checkpoint::CheckpointConfig;
 pub use dist::{
     explore_elastic, explore_elastic_in_process, explore_elastic_timed, explore_partitioned,
     explore_partitioned_in_process, explore_partitioned_timed, run_worker, run_worker_elastic,

@@ -20,8 +20,8 @@ use twostep_core::{crw_processes, CommitOrder, Crw};
 use twostep_model::{ProcessId, SystemConfig, WideValue};
 use twostep_modelcheck::{
     explore_partitioned_in_process, explore_with, validate_segment_file, CacheConfig, CacheMode,
-    DistOptions, ExploreConfig, ExploreOptions, ExploreReport, FaultPlan, MemoConfig, RoundBound,
-    SpecMode, SpillError, StealConfig, SuperviseConfig, Symmetry, WalkBudget,
+    DistOptions, ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, MemoConfig,
+    RoundBound, SpecMode, SpillError, StealConfig, SuperviseConfig, Symmetry, WalkBudget,
 };
 use twostep_sim::ModelKind;
 
@@ -81,7 +81,6 @@ fn engines() -> Vec<(&'static str, ExploreOptions)> {
                 donate_depth: None,
                 cache: None,
                 budget: WalkBudget::unlimited(),
-                checkpoint: None,
             },
         ),
         (
@@ -164,6 +163,7 @@ where
             engine.clone().with_cache(Some(CacheConfig {
                 dir: dir.path().to_path_buf(),
                 mode,
+                autosave_every: None,
             }))
         };
 
@@ -265,6 +265,7 @@ fn partitioned_cold_then_warm_is_bit_identical() {
         cache: Some(CacheConfig {
             dir: dir.path().to_path_buf(),
             mode,
+            autosave_every: None,
         }),
         steal: StealConfig::default(),
         faults: FaultPlan::none(),
@@ -311,6 +312,7 @@ fn cache_is_engine_agnostic() {
         Some(CacheConfig {
             dir: dir.path().to_path_buf(),
             mode,
+            autosave_every: None,
         })
     };
     let baseline = explore_with(
@@ -545,7 +547,9 @@ fn symmetry_mode_changes_the_cache_fingerprint() {
 /// with the value quotient for CRW's binary proposals) memoize
 /// different orbit spaces, so a cache written at one strength must be
 /// loudly replaced — zero hits, correct cold report — when read at the
-/// other, in both directions.
+/// other, in both directions.  That holds for a *partial* image too: a
+/// budget-suspended run's commit is just another cache, so resuming it
+/// at another strength replaces it instead of mixing quotients.
 #[test]
 fn symmetry_strength_changes_the_cache_fingerprint() {
     let (n, t) = (4usize, 2usize);
@@ -576,6 +580,47 @@ fn symmetry_strength_changes_the_cache_fingerprint() {
          ({} vs {})",
         pv_baseline.distinct_states,
         full_baseline.distinct_states
+    );
+
+    // A partial image committed by a budget-suspended partial+value run
+    // is ignored by a Full run, which reaches its own baseline and
+    // replaces the cache with its own complete image.
+    let partial_dir = TempDir::new("symmetry-strength-partial");
+    let suspended = explore_with(
+        system,
+        config(Symmetry::PartialValue),
+        ExploreOptions::serial()
+            .with_budget(WalkBudget {
+                max_steps: Some(25),
+                ..WalkBudget::unlimited()
+            })
+            .with_cache(Some(CacheConfig::read_write(partial_dir.path()))),
+        crw_processes(&system, &proposals),
+        proposals.clone(),
+    );
+    assert!(
+        matches!(
+            suspended,
+            Err(ExploreError::Interrupted { cache: Some(_), .. })
+        ),
+        "the partial+value run must suspend into the cache, got {suspended:?}"
+    );
+    let partial = || Some(CacheConfig::read_write(partial_dir.path()));
+    let full_over_partial = run(Symmetry::Full, partial());
+    assert_identical(
+        &full_baseline,
+        &full_over_partial,
+        "full over a suspended partial+value image",
+    );
+    assert_eq!(
+        full_over_partial.cache_hits, 0,
+        "a suspended partial+value image must never warm a Full run"
+    );
+    let full_warm = run(Symmetry::Full, partial());
+    assert_identical(&full_baseline, &full_warm, "full after replacing");
+    assert_eq!(
+        full_warm.cache_hits, full_warm.distinct_states,
+        "the Full run replaced the partial image with its own"
     );
 
     // Prime under the deeper strength; a Full run must not warm from it.

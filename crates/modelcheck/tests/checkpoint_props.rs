@@ -1,11 +1,12 @@
-//! Property test for checkpoint composition: splitting one exploration
-//! into an *arbitrary* sequence of step-budget partitions — suspend to
-//! a checkpoint after each, resume into the next — must compose to the
-//! bit-identical final report and bivalency census of one uninterrupted
-//! walk.  The partition vector is generated (lengths, budget sizes, and
-//! zero-step sessions all arbitrary); once the plan runs out the last
-//! session runs unbounded, so every case terminates by the min-progress
-//! guarantee.
+//! Property test for suspend/resume composition: splitting one
+//! exploration into an *arbitrary* sequence of step-budget partitions —
+//! suspend by committing to a ReadWrite cache after each, warm-start the
+//! next from it — must compose to the bit-identical final report and
+//! bivalency census of one uninterrupted walk, after which the cache
+//! answers one more session completely.  The partition vector is
+//! generated (lengths, budget sizes, and zero-step sessions all
+//! arbitrary); once the plan runs out the last session runs unbounded,
+//! so every case terminates by the min-progress guarantee.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
 use twostep_modelcheck::{
-    explore_with, CheckpointConfig, ExploreConfig, ExploreError, ExploreOptions, ExploreReport,
+    explore_with, CacheConfig, ExploreConfig, ExploreError, ExploreOptions, ExploreReport,
     Symmetry, WalkBudget,
 };
 
@@ -27,7 +28,7 @@ struct TempDir {
 impl TempDir {
     fn new() -> TempDir {
         let path = std::env::temp_dir().join(format!(
-            "twostep-ckpt-props-{}-{}",
+            "twostep-resume-props-{}-{}",
             std::process::id(),
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
@@ -43,16 +44,28 @@ impl Drop for TempDir {
 }
 
 /// Runs the (3, 1) CRW workload in sessions budgeted by `plan` (then
-/// unbounded once the plan is spent), checkpointing between sessions,
-/// and returns the composed final report plus the session count.
+/// unbounded once the plan is spent), committing to one cache between
+/// sessions, and returns the composed final report, the session count,
+/// and the report of one more session over the converged cache.
 fn run_partitioned_walk(
     system: SystemConfig,
     config: ExploreConfig,
     proposals: &[WideValue],
     plan: &[u64],
-) -> Result<(ExploreReport<WideValue>, usize), TestCaseError> {
+) -> Result<(ExploreReport<WideValue>, usize, ExploreReport<WideValue>), TestCaseError> {
     let dir = TempDir::new();
-    let checkpoint = Some(CheckpointConfig::at(&dir.path));
+    let cache = Some(CacheConfig::read_write(&dir.path));
+    let session = |budget: WalkBudget| {
+        explore_with(
+            system,
+            config,
+            ExploreOptions::serial()
+                .with_budget(budget)
+                .with_cache(cache.clone()),
+            crw_processes(&system, proposals),
+            proposals.to_vec(),
+        )
+    };
     let mut sessions = 0usize;
     loop {
         let budget = match plan.get(sessions) {
@@ -64,21 +77,17 @@ fn run_partitioned_walk(
         };
         sessions += 1;
         prop_assert!(sessions <= plan.len() + 1, "plan overrun");
-        match explore_with(
-            system,
-            config,
-            ExploreOptions::serial()
-                .with_budget(budget)
-                .with_checkpoint(checkpoint.clone()),
-            crw_processes(&system, proposals),
-            proposals.to_vec(),
-        ) {
-            Ok(report) => return Ok((report, sessions)),
-            Err(ExploreError::Interrupted { checkpoint, .. }) => {
+        match session(budget) {
+            Ok(report) => {
+                let warm = session(WalkBudget::unlimited())
+                    .map_err(|e| TestCaseError::fail(format!("warm session: {e:?}")))?;
+                return Ok((report, sessions, warm));
+            }
+            Err(ExploreError::Interrupted { cache, .. }) => {
                 prop_assert_eq!(
-                    checkpoint.as_deref(),
+                    cache.as_deref(),
                     Some(dir.path.as_path()),
-                    "every interruption leaves the artifact"
+                    "every interruption commits to the cache"
                 );
             }
             Err(other) => {
@@ -113,7 +122,7 @@ proptest! {
         )
         .unwrap();
 
-        let (composed, sessions) =
+        let (composed, sessions, warm) =
             run_partitioned_walk(system, config, &proposals, &plan)?;
         prop_assert_eq!(&composed.root, &uninterrupted.root, "root summary");
         prop_assert_eq!(
@@ -126,6 +135,13 @@ proptest! {
             &uninterrupted.bivalency_by_round,
             "bivalency census"
         );
+        prop_assert_eq!(&warm.root, &uninterrupted.root, "warm root summary");
+        prop_assert_eq!(
+            warm.cache_hits,
+            uninterrupted.distinct_states,
+            "the converged cache answers every state"
+        );
+        prop_assert_eq!(warm.fresh_states, 0, "nothing left to compute");
         // The plan really partitioned the walk whenever it starts with a
         // budget too small to finish in one go.
         if plan.first().is_some_and(|&steps| steps == 0) {

@@ -8,6 +8,7 @@
 //! leave a cache directory a later run would wrongly trust.
 
 use std::path::PathBuf;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use twostep_baselines::floodset_processes;
@@ -15,11 +16,25 @@ use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
 use twostep_modelcheck::{
     explore_elastic_timed, explore_partitioned_in_process, explore_partitioned_timed, explore_with,
-    run_worker, run_worker_elastic, CacheConfig, CacheMode, DistOptions, ElasticTask,
-    ExploreConfig, ExploreOptions, ExploreReport, FaultPlan, RoundBound, SpecMode, StealConfig,
-    SuperviseConfig, Symmetry, WorkerPulse, WorkerTask,
+    install_io_fault, run_worker, run_worker_elastic, CacheConfig, DistOptions, ElasticTask,
+    ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, RoundBound, SpecMode,
+    StealConfig, SuperviseConfig, Symmetry, WalkBudget, WorkerPulse, WorkerTask,
 };
 use twostep_sim::ModelKind;
+
+/// The IO shim is process-global: while one test has it armed, the
+/// writes of every other test running in this binary count toward its
+/// ordinal and can draw the injected failure.  The test that arms it
+/// holds this gate exclusively; every other test shares it.
+static IO_GATE: RwLock<()> = RwLock::new(());
+
+fn shared_io() -> RwLockReadGuard<'static, ()> {
+    IO_GATE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive_io() -> RwLockWriteGuard<'static, ()> {
+    IO_GATE.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A unique temp directory removed on drop (cache roots for the suite).
 struct TempDir {
@@ -115,6 +130,7 @@ fn crw_serial(system: SystemConfig, config: ExploreConfig) -> ExploreReport<Wide
 /// serial report — across both partition counts and both model kinds.
 #[test]
 fn survivable_fault_matrix_is_bit_identical() {
+    let _io = shared_io();
     let fault_tokens = [
         "crash@seed",
         "crash@frontier",
@@ -198,6 +214,7 @@ fn survivable_fault_matrix_is_bit_identical() {
 /// own 60s in-process hang cap would fire.
 #[test]
 fn hung_worker_is_cancelled_by_attempt_timeout_and_retried() {
+    let _io = shared_io();
     let (n, t) = (3usize, 2usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals = crw_proposals(n);
@@ -245,6 +262,7 @@ fn hung_worker_is_cancelled_by_attempt_timeout_and_retried() {
 /// bit-identical to the serial walk.
 #[test]
 fn retry_exhaustion_degrades_to_local_walk_with_identical_report() {
+    let _io = shared_io();
     let (n, t) = (4usize, 2usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals = crw_proposals(n);
@@ -289,6 +307,7 @@ fn retry_exhaustion_degrades_to_local_walk_with_identical_report() {
 /// serial engine, not a failure.
 #[test]
 fn total_worker_loss_degrades_whole_run_to_local_walk() {
+    let _io = shared_io();
     let (n, t) = (3usize, 2usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals = crw_proposals(n);
@@ -313,6 +332,7 @@ fn total_worker_loss_degrades_whole_run_to_local_walk() {
 /// capacity — stats reporting both, report identical.
 #[test]
 fn elastic_exhausted_worker_is_quarantined_and_walked_locally() {
+    let _io = shared_io();
     let (n, t) = (4usize, 2usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals = crw_proposals(n);
@@ -364,6 +384,7 @@ fn elastic_exhausted_worker_is_quarantined_and_walked_locally() {
 /// cap.
 #[test]
 fn elastic_hung_worker_is_caught_by_pulse_watchdog() {
+    let _io = shared_io();
     let (n, t) = (4usize, 2usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals = crw_proposals(n);
@@ -411,29 +432,53 @@ fn elastic_hung_worker_is_caught_by_pulse_watchdog() {
 /// A torn coordinator write at **any** ordinal — wherever it lands in
 /// the run's write sequence — must leave the cache directory in a state
 /// a later clean run either rebuilds or validly reuses, never wrongly
-/// trusts: the write-then-rename manifest protocol makes every commit
-/// all-or-nothing, and segment validation catches the rest.
+/// trusts: the write-then-rename protocol makes every commit
+/// all-or-nothing, and segment validation catches the rest.  Three
+/// sessions commit under the fault: a partitioned run, a
+/// budget-suspended serial run appending to a cache an earlier
+/// suspension primed, and an autosaving serial run whose every save —
+/// and its final suspension — rewrites its one delta segment.  The two
+/// serial sessions are swept over every write ordinal of their commits,
+/// and a failed suspension commit must leave the image committed before
+/// it intact: the clean rerun still warm-starts from it.
 #[test]
 fn any_single_torn_write_leaves_cache_trustworthy() {
+    let _io = exclusive_io();
     let (n, t) = (3usize, 1usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals = crw_proposals(n);
     let config = ExploreConfig::for_crw(&system);
     let serial = crw_serial(system, config);
+    // The serial sessions walk (3, 2): big enough that a budgeted
+    // session suspends after several autosaves.
+    let walked = SystemConfig::new(3, 2).unwrap();
+    let walked_config = ExploreConfig::for_crw(&walked);
+    let walked_serial = crw_serial(walked, walked_config);
+    let walk = |max_steps: Option<u64>, cache: &CacheConfig| {
+        explore_with(
+            walked,
+            walked_config,
+            ExploreOptions::serial()
+                .with_budget(WalkBudget {
+                    max_steps,
+                    ..WalkBudget::unlimited()
+                })
+                .with_cache(Some(cache.clone())),
+            crw_processes(&walked, &proposals),
+            proposals.clone(),
+        )
+    };
     for io_fault in ["torn-write", "fail-write", "enospc"] {
+        let plan = |nth: u64| FaultPlan::parse(&format!("io={io_fault}({nth})")).unwrap();
         // Dense over the run's first writes (frontier, seed, exports),
         // geometric tail so late writes (cache segment, manifest) land
         // in range too.
         for nth in [1u64, 2, 3, 4, 5, 6, 7, 8, 16, 64, 256] {
+            let label = format!("partitioned io={io_fault}({nth})");
             let dir = TempDir::new(&format!("{io_fault}-{nth}"));
-            let cache = Some(CacheConfig {
-                dir: dir.path().to_path_buf(),
-                mode: CacheMode::ReadWrite,
-            });
-            let plan = FaultPlan::parse(&format!("io={io_fault}({nth})")).unwrap();
-            let mut options = dist_options(2, plan);
+            let cache = Some(CacheConfig::read_write(dir.path()));
+            let mut options = dist_options(2, plan(nth));
             options.cache = cache.clone();
-            let label = format!("io={io_fault}({nth})");
             // The faulted run either succeeds (the torn write hit a
             // warn-and-continue path, or never fired) or fails loudly —
             // a success must already be bit-identical.
@@ -466,6 +511,50 @@ fn any_single_torn_write_leaves_cache_trustworthy() {
             )
             .unwrap_or_else(|e| panic!("{label}: clean rerun failed: {e}"));
             assert_identical(&serial, &recovered, &format!("{label} clean rerun"));
+        }
+
+        for (session, autosave) in [("suspended", false), ("autosaving", true)] {
+            // Every ordinal until one lands past the session's last
+            // commit: the sweep must have failed that suspension commit
+            // at least once and then run out of writes to hit.
+            let mut failed_suspension = false;
+            for nth in 1u64.. {
+                assert!(nth <= 5_000, "{session} {io_fault}: sweep never ended");
+                let label = format!("{session} io={io_fault}({nth})");
+                let dir = TempDir::new(&format!("{session}-{io_fault}-{nth}"));
+                let mut cache = CacheConfig::read_write(dir.path());
+                if autosave {
+                    cache = cache.with_autosave_every(5);
+                } else {
+                    // Prime a partial image for the session to append to.
+                    assert!(matches!(
+                        walk(Some(5), &cache),
+                        Err(ExploreError::Interrupted { cache: Some(_), .. })
+                    ));
+                }
+                let outcome = {
+                    let _armed = install_io_fault(plan(nth).io.expect("an io= plan"));
+                    walk(Some(30), &cache)
+                };
+                let suspension_failed = match outcome {
+                    Err(ExploreError::Interrupted { cache, .. }) => cache.is_none(),
+                    other => panic!("{label}: the session must suspend, got {other:?}"),
+                };
+                let recovered = walk(None, &cache)
+                    .unwrap_or_else(|e| panic!("{label}: clean rerun failed: {e}"));
+                assert_identical(&walked_serial, &recovered, &format!("{label} clean rerun"));
+                if suspension_failed {
+                    // Write-then-rename: the failed commit never touched
+                    // the primed image or the last good autosave.
+                    assert!(
+                        recovered.cache_hits > 0,
+                        "{label}: a failed commit lost the image committed before it"
+                    );
+                    failed_suspension = true;
+                } else if failed_suspension {
+                    break;
+                }
+            }
         }
     }
 }
@@ -510,6 +599,7 @@ mod fault_props {
             ),
             partitions in 2usize..=4,
         ) {
+            let _io = shared_io();
             // Hangs are survivable but slow (they wait out a timeout);
             // give every hang a fast attempt timeout and drop fatal
             // faults from final attempts so the plan is survivable with

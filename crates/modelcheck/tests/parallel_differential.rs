@@ -91,7 +91,6 @@ fn extended_model_crw_parallel_equals_serial() {
                     donate_depth: None,
                     cache: None,
                     budget: WalkBudget::unlimited(),
-                    checkpoint: None,
                 },
                 crw_processes(&system, &proposals),
                 proposals.clone(),
@@ -138,7 +137,6 @@ fn classic_model_floodset_parallel_equals_serial() {
                     donate_depth: None,
                     cache: None,
                     budget: WalkBudget::unlimited(),
-                    checkpoint: None,
                 },
                 floodset_processes(n, t, &proposals),
                 proposals.clone(),

@@ -90,7 +90,6 @@ fn extended_model_crw_spill_equals_ram() {
                         donate_depth: None,
                         cache: None,
                         budget: WalkBudget::unlimited(),
-                        checkpoint: None,
                     },
                     crw_processes(&system, &proposals),
                     proposals.clone(),
@@ -139,7 +138,6 @@ fn classic_model_floodset_spill_equals_ram() {
                     donate_depth: None,
                     cache: None,
                     budget: WalkBudget::unlimited(),
-                    checkpoint: None,
                 },
                 floodset_processes(n, t, &proposals),
                 proposals.clone(),
